@@ -1,7 +1,7 @@
 # Tier-1 verification targets. `make check` is the gate: vet + build +
-# test + race (`make ci` is an alias). The race target matters here: the
-# solver's WithParallelism paths are required to be race-clean AND
-# bit-identical to sequential runs.
+# test + race + the benchmark module's tests (`make ci` is an alias). The
+# race target matters here: the solver's WithParallelism paths are
+# required to be race-clean AND bit-identical to sequential runs.
 
 GO ?= go
 
@@ -19,7 +19,7 @@ SERVE_BENCH_OUT ?= BENCH_PR5.json
 # prune_rate and cost_ratio reported per mode.
 INDEX_BENCH_OUT ?= BENCH_PR9.json
 
-.PHONY: all vet fmt-check build test test-race test-faults test-alloc-pins fuzz-arena fuzz-bound bench bench-parallel bench-json bench-serve bench-index examples check ci
+.PHONY: all vet fmt-check build test test-race test-perfbench test-faults test-alloc-pins fuzz-arena fuzz-bound fuzz-emax bench bench-parallel bench-json bench-serve bench-index examples check ci
 
 all: check
 
@@ -40,6 +40,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# test-perfbench runs the tests of the nested benchmark module (the
+# comparator, its quantiles, and BENCHMARK.json against the program's
+# metric tables), which root `go test ./...` never reaches. Offline and
+# without touching perfbench/go.mod or go.sum.
+test-perfbench:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test ./...
+
 # test-faults is the nightly fault-injection sweep under the race
 # detector: the seeded panic/error/latency soak through the serving layer,
 # the drain lifecycle and Close/Register race, the torn-write quarantine
@@ -48,13 +55,14 @@ test-faults:
 	$(GO) test -race -run 'Fault|Fire|Panic|Drain|Shutdown|Quarantine|TornWrite|CloseRegister|Breaker|Retry' \
 		./serve ./internal/faults ./client ./cmd/ukserver
 
-# test-alloc-pins is the nightly zero-cost-when-off gate: the nil tracer
-# and the disabled flight recorder must add ZERO allocations to the paths
-# they instrument. These tests run in `make test` too; the standalone
-# target fails the nightly loudly and in isolation if an instrumentation
-# change loses a nil guard.
+# test-alloc-pins is the nightly zero-allocation gate: the nil tracer and
+# the disabled flight recorder must add ZERO allocations to the paths they
+# instrument, and a warmed E-cost (emax) and swap-neighborhood scan (core)
+# must allocate nothing at all. These tests run in `make test` too; the
+# standalone target fails the nightly loudly and in isolation if a change
+# loses a nil guard or brings back an allocating sort.
 test-alloc-pins:
-	$(GO) test -v -run 'Allocs' ./obs ./serve
+	$(GO) test -v -run 'Allocs' ./obs ./serve ./internal/emax ./internal/core
 
 # fuzz-arena runs the snapshot decoder fuzzer for $(FUZZTIME): arbitrary
 # bytes through the full .ukc validation pipeline (nightly CI).
@@ -68,6 +76,13 @@ fuzz-arena:
 # rests on (nightly CI).
 fuzz-bound:
 	$(GO) test -fuzz FuzzLowerBound -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+
+# fuzz-emax runs the expected-max precision fuzzer for $(FUZZTIME): RVs
+# with atoms down to the smallest subnormal mass, masses summing to 1
+# within ProbSumTol and heavy ties, through ExpectedMax and ExpectedMaxFlat
+# against the naive enumeration within 1e-9·(1+|want|) (nightly CI).
+fuzz-emax:
+	$(GO) test -fuzz FuzzExpectedMax -fuzztime $(FUZZTIME) -run '^$$' ./internal/emax
 
 # Full benchmark sweep (slow); bench-parallel records just the
 # sequential-vs-worker-pool trajectory (BENCH_*.json inputs).
@@ -124,6 +139,6 @@ examples:
 	$(GO) run ./cmd/ukserver -selfcheck
 	$(GO) run ./cmd/ukfreeze -selfcheck
 
-check: vet fmt-check build test test-race
+check: vet fmt-check build test test-race test-perfbench
 
 ci: check

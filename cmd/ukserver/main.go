@@ -46,11 +46,12 @@
 // Status mapping: 404 unknown instance, 409 duplicate registration, 422
 // invalid instance data, 429 shard queue full (ErrOverloaded — back off and
 // retry), 500 a request that panicked inside the solver (the worker
-// survived; see serve.ErrPanicked), 503 draining or closed, 504 deadline
-// exceeded. 429 and draining-503 responses carry a Retry-After header — on
-// 429 derived from the live queue depth and the shard's observed execution
-// latency, so well-behaved clients (package client honors it) back off
-// exactly as long as the backlog warrants.
+// survived; see serve.ErrPanicked) or a result that cannot be encoded as
+// JSON (a non-finite number; the body carries the error), 503 draining or
+// closed, 504 deadline exceeded. 429 and draining-503 responses carry a
+// Retry-After header — on 429 derived from the live queue depth and the
+// shard's observed execution latency, so well-behaved clients (package
+// client honors it) back off exactly as long as the backlog warrants.
 //
 // Shutdown: SIGINT/SIGTERM stops the listener, then drains the serving
 // layer — admitted requests finish, new ones are rejected 503 — bounded by
@@ -745,10 +746,18 @@ func doUnassigned[P any](srv *serve.Server[P], ctx context.Context, req workload
 	return map[string]any{"centers": resp.Centers, "ecost": resp.Ecost, "stats": toStatsOut(resp.Stats)}, nil
 }
 
+// writeJSON encodes v before it writes the status line, so a value that
+// cannot be encoded (a non-finite float64 in a result) becomes a 500 with a
+// JSON error body rather than the requested status with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(map[string]string{"error": "encoding response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(body, '\n'))
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {

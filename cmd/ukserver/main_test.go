@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -122,5 +124,76 @@ func TestFreezeNameSanitization(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("freeze %q: %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestNoEmptyOK pins the buffered encode: an instance whose ±1e308
+// coordinates overflow every distance to +Inf registers, and its solve
+// result cannot be encoded as JSON. The response must carry a JSON body —
+// a 500 with the encode error — never a 200 with an empty body.
+func TestNoEmptyOK(t *testing.T) {
+	gw, err := newGateway(1, nil, nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.close()
+	ts := httptest.NewServer(gw.mux())
+	defer ts.Close()
+
+	doc := `{"kind":"euclidean","points":[` +
+		`{"locs":[[1e308,1e308],[-1e308,-1e308]],"probs":[0.5,0.5]},` +
+		`{"locs":[[-1e308,1e308]],"probs":[1]},` +
+		`{"locs":[[1e308,-1e308],[0,0]],"probs":[0.25,0.75]}]}`
+	do := func(method, path, payload string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, body := do(http.MethodPut, "/v1/instances/huge", doc); code != http.StatusCreated {
+		t.Fatalf("register: %d %s", code, body)
+	}
+	code, body := do(http.MethodPost, "/v1/solve", `{"instance":"huge","k":2}`)
+	if code == http.StatusOK && len(bytes.TrimSpace(body)) == 0 {
+		t.Fatal("solve: 200 with an empty body")
+	}
+	var out map[string]any
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatalf("solve: %d with a body that is not JSON (%v): %q", code, err, body)
+	}
+	if code != http.StatusOK {
+		if code != http.StatusInternalServerError || out["error"] == nil {
+			t.Fatalf("solve: %d %s, want 200 or a 500 with an error body", code, body)
+		}
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value json cannot encode turns the
+// requested status into a 500 with a JSON error body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]any{"ecost": math.Inf(1)})
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	var out struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || !strings.Contains(out.Error, "+Inf") {
+		t.Fatalf("body %q (%v), want an error naming +Inf", rec.Body.String(), err)
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusCreated, map[string]any{"points": 3})
+	if rec.Code != http.StatusCreated || rec.Body.String() != "{\"points\":3}\n" {
+		t.Fatalf("encodable value: %d %q", rec.Code, rec.Body.String())
 	}
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/metricspace"
 	"repro/internal/par"
@@ -415,10 +416,13 @@ func newCandGraph[P any](ctx context.Context, space metricspace.Space[P], cands 
 // order that keeps every NN-descent round, and therefore the final graph,
 // deterministic.
 func sortNbs(l []graphNb) {
-	sort.Slice(l, func(x, y int) bool {
-		if l[x].d != l[y].d {
-			return l[x].d < l[y].d
+	slices.SortFunc(l, func(x, y graphNb) int {
+		if x.d != y.d {
+			if x.d < y.d {
+				return -1
+			}
+			return 1
 		}
-		return l[x].idx < l[y].idx
+		return cmp.Compare(x.idx, y.idx)
 	})
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/emax"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/metricspace"
@@ -145,15 +148,61 @@ func TestSweepReusesPreparedState(t *testing.T) {
 		}
 	}
 
-	// Per position: the result row, the scan closure, and sort.Slice's two
-	// internal allocations inside PrepareBase; plus the outer result slice.
-	// No evaluator, base or scratch construction — that is the reuse.
+	// Per position: the result row and the scan closure (PrepareBase's
+	// typed sort allocates nothing); plus the outer result slice. No
+	// evaluator, base or scratch construction — that is the reuse.
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := ecostSweepRows(ctx, ev, base, scratches, chosen, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > float64(1+4*k) {
-		t.Fatalf("ecostSweepRows allocations = %v, want ≤ %d (result rows + per-position scan constants)", allocs, 1+4*k)
+	if allocs > float64(1+2*k) {
+		t.Fatalf("ecostSweepRows allocations = %v, want ≤ %d (result rows + per-position scan closures)", allocs, 1+2*k)
+	}
+}
+
+// TestTypedSortsKeepReflectiveOrder pins the premise behind the typed sorts
+// of the swap evaluator and the candidate graph: slices.SortFunc with
+// emax.CompareValues permutes tied distances exactly as sort.Slice with `<`
+// did, and sortNbs yields the (distance, index) order of the old
+// reflective sort, so cached columns, graphs and trajectories are
+// unchanged.
+func TestTypedSortsKeepReflectiveOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(82))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(1+[]int{12, 50, 200, 1500}[trial%4])
+		col := make([]float64, n)
+		for f := range col {
+			col[f] = float64(rng.Intn(1 + n/4))
+			if rng.Intn(50) == 0 {
+				col[f] = math.Inf(1)
+			}
+		}
+		want := make([]int32, n)
+		for f := range want {
+			want[f] = int32(f)
+		}
+		got := slices.Clone(want)
+		sort.Slice(want, func(x, y int) bool { return col[want[x]] < col[want[y]] })
+		slices.SortFunc(got, func(x, y int32) int { return emax.CompareValues(col[x], col[y]) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): index sort permutes ties differently", trial, n)
+		}
+
+		nbs := make([]graphNb, n)
+		for i := range nbs {
+			nbs[i] = graphNb{d: col[i], idx: int32(rng.Intn(n))}
+		}
+		wantNbs := slices.Clone(nbs)
+		sort.Slice(wantNbs, func(x, y int) bool {
+			if wantNbs[x].d != wantNbs[y].d {
+				return wantNbs[x].d < wantNbs[y].d
+			}
+			return wantNbs[x].idx < wantNbs[y].idx
+		})
+		sortNbs(nbs)
+		if !slices.Equal(nbs, wantNbs) {
+			t.Fatalf("trial %d (n=%d): sortNbs order differs from the reflective sort", trial, n)
+		}
 	}
 }

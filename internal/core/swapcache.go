@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/emax"
 	"repro/internal/metricspace"
@@ -122,7 +122,7 @@ func newSwapEvaluatorCompiled[P any](ctx context.Context, c *Compiled[P], candid
 		for f := range ord {
 			ord[f] = int32(f)
 		}
-		sort.Slice(ord, func(x, y int) bool { return col[ord[x]] < col[ord[y]] })
+		slices.SortFunc(ord, func(x, y int32) int { return emax.CompareValues(col[x], col[y]) })
 		e.cols[cd] = col
 		e.order[cd] = ord
 	})
@@ -183,7 +183,7 @@ func (e *SwapEvaluator[P]) PrepareBase(b *SwapBase, chosen []int, pos int) {
 	for f := range ord {
 		ord[f] = int32(f)
 	}
-	sort.Slice(ord, func(x, y int) bool { return bv[ord[x]] < bv[ord[y]] })
+	slices.SortFunc(ord, func(x, y int32) int { return emax.CompareValues(bv[x], bv[y]) })
 	b.n = len(ord)
 }
 

@@ -238,3 +238,38 @@ func TestUnassignedTrajectoryEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestEvalSwapScanAllocs pins a neighborhood scan at zero allocations on a
+// warmed base and scratch: PrepareBase's typed sort takes no closure
+// allocation and no reflective swapper, and EvalSwap merges and sweeps in
+// place.
+func TestEvalSwapScanAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	pts, err := gen.GaussianClusters(rng, 60, 4, 2, 3, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := uncertain.AllLocations(pts)[:40]
+	ev, err := core.NewSwapEvaluator[geom.Vec](context.Background(), euclid, pts, cands, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := []int{3, 17, 29}
+	base, scratch := ev.NewBase(), ev.NewScratch()
+	var sink float64
+	scan := func() {
+		for pos := range chosen {
+			ev.PrepareBase(base, chosen, pos)
+			for c := range cands {
+				sink += ev.EvalSwap(base, scratch, c)
+			}
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
+		t.Fatalf("warmed scan allocates %v times, want 0", allocs)
+	}
+	if sink <= 0 {
+		t.Fatalf("scan E-costs sum to %v", sink)
+	}
+}

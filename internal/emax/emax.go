@@ -13,7 +13,9 @@
 //
 // over the sorted union of support values t_k, with G = Π F_i. ExpectedMax
 // implements that sweep in O(N log N) for N = Σ z_i, which is what makes the
-// "exact empirical approximation ratio" experiments feasible. A brute-force
+// "exact empirical approximation ratio" experiments feasible; the sweep
+// itself is linear, carrying G as a scaled product updated by one divide
+// per support atom (Arena.SweepSorted). A brute-force
 // enumeration oracle and a Monte-Carlo estimator are provided for
 // cross-checking.
 package emax
@@ -22,7 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RV is a discrete random variable: P(X = Vals[j]) = Probs[j]. Values need
@@ -95,16 +97,34 @@ type Event struct {
 	RV   int32
 }
 
+// CompareValues is the three-way comparison behind every ascending sort
+// that feeds a sweep: the event streams here and the presorted distance
+// columns of internal/core. It is negative exactly when a < b.
+// slices.SortFunc only tests cmp(a, b) < 0 where sort.Slice tests
+// less(a, b), and both run the same pdqsort, so equal values end up in the
+// same permutation as under sort.Slice with a `<` less function — and the
+// sweep sums them in the same order.
+func CompareValues(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+func compareEvents(x, y Event) int { return CompareValues(x.Val, y.Val) }
+
 // Arena carries the reusable scratch buffers of repeated expected-max
-// sweeps: the event stream and the per-RV CDF/log-CDF state. A zero Arena
-// is ready to use; buffers grow to the high-water mark of the evaluations
-// run through it and are reused afterwards, so steady-state evaluations of
+// sweeps: the event stream and the per-RV CDF state. A zero Arena is ready
+// to use; buffers grow to the high-water mark of the evaluations run
+// through it and are reused afterwards, so steady-state evaluations of
 // same-shaped inputs do not allocate. An Arena is not safe for concurrent
 // use; give each worker its own.
 type Arena struct {
 	events []Event
 	cdf    []float64
-	logCdf []float64
 }
 
 // ExpectedMax returns E[max_i X_i] for independent X_i, exactly (up to
@@ -116,8 +136,8 @@ func ExpectedMax(rvs []RV) (float64, error) {
 }
 
 // ExpectedMax is the package-level ExpectedMax evaluated on the arena's
-// reusable buffers: identical validation, identical result, no steady-state
-// allocations beyond sort.Slice's closure.
+// reusable buffers: identical validation, identical result, and no
+// allocations once the arena has grown to the input's size.
 func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 	if len(rvs) == 0 {
 		return 0, nil
@@ -134,7 +154,7 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 		}
 	}
 	a.events = events
-	sort.Slice(events, func(x, y int) bool { return events[x].Val < events[y].Val })
+	slices.SortFunc(events, compareEvents)
 	return a.SweepSorted(events, len(rvs)), nil
 }
 
@@ -147,19 +167,31 @@ func (a *Arena) ExpectedMax(rvs []RV) (float64, error) {
 // It is the validation-free fast path: the caller guarantees that values are
 // finite, probabilities are positive (zero-probability atoms pruned), and
 // each RV's total mass is 1 within ProbSumTol — the invariants a compiled
-// instance establishes once at compile time. Given a warmed arena the only
-// allocation is sort.Slice's closure. The result is bit-identical to
-// ExpectedMax over the equivalent per-RV slices: the pre-sort event order
-// (ascending f) matches the per-RV construction order.
+// instance establishes once at compile time. Given a warmed arena it
+// performs no allocations. The result is bit-identical to ExpectedMax over
+// the equivalent per-RV slices: the pre-sort event order (ascending f)
+// matches the per-RV construction order.
 func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) float64 {
 	events := a.events[:0]
 	for f, v := range vals {
 		events = append(events, Event{Val: v, Prob: probs[f], RV: rvIdx[f]})
 	}
 	a.events = events
-	sort.Slice(events, func(x, y int) bool { return events[x].Val < events[y].Val })
+	slices.SortFunc(events, compareEvents)
 	return a.SweepSorted(events, nRVs)
 }
+
+// Bounds of the scaled product in SweepSorted. The running mantissa is
+// renormalised into [0.5, 1) whenever it leaves [scaleLo, scaleHi], and a
+// factor is multiplied in directly only when it lies in
+// [tinyMass, 1/tinyMass]; a more extreme factor is split with Frexp first.
+// The product of a mantissa and a direct factor therefore stays within
+// [2^-768, 2^768], finite and normal, whatever the masses are.
+const (
+	scaleLo  = 0x1p-256
+	scaleHi  = 0x1p256
+	tinyMass = 0x1p-512
+)
 
 // SweepSorted computes E[max] from an event stream already sorted ascending
 // by Val, for nRVs random variables indexed 0..nRVs-1. It is the sweep of
@@ -168,25 +200,30 @@ func (a *Arena) ExpectedMaxFlat(vals, probs []float64, rvIdx []int32, nRVs int) 
 // total mass is 1 within ProbSumTol. Given a warmed arena it performs no
 // allocations — the contract the incremental swap evaluator's benchmarks
 // pin with ReportAllocs.
+//
+// G(t) = Π_i F_i(t) is kept as a scaled product mant·2^exp of the non-zero
+// factors, updated multiplicatively: an RV's first event multiplies by its
+// new CDF, each later event by the ratio new/old of its CDF. That costs one
+// divide per event and no logarithm, and adds about 2 ulp of relative error
+// per event whatever the magnitude of G; the exponent is carried apart, so
+// G may fall far below the float64 range in the middle of a sweep (2000
+// fair coins) and still climb back to exactly 1.
 func (a *Arena) SweepSorted(events []Event, nRVs int) float64 {
 	if len(events) == 0 {
 		return 0
 	}
 	if cap(a.cdf) < nRVs {
 		a.cdf = make([]float64, nRVs)
-		a.logCdf = make([]float64, nRVs)
 	}
-	cdf, logCdf := a.cdf[:nRVs], a.logCdf[:nRVs]
+	cdf := a.cdf[:nRVs]
 	for i := range cdf {
 		cdf[i] = 0
 	}
 
-	// Sweep values in ascending order maintaining G(t) = Π_i F_i(t).
-	// F_i starts at 0, so track the count of zero factors separately and keep
-	// Σ log F_i over the non-zero factors for drift-free updates; G is zero
-	// until zeros == 0. logCdf caches log F_i so each event costs one Log.
+	// F_i starts at 0, so the count of zero factors is tracked apart and G
+	// is zero until zeros == 0.
 	zeros := nRVs
-	logProd := 0.0
+	mant, exp := 1.0, 0
 
 	var expected float64
 	prevG := 0.0
@@ -202,19 +239,34 @@ func (a *Arena) SweepSorted(events []Event, nRVs int) float64 {
 				nw = 1 // clamp prefix-sum rounding
 			}
 			cdf[e.RV] = nw
-			lg := math.Log(nw)
-			if old == 0 {
+			switch {
+			case old == 0:
 				zeros--
-				logProd += lg
-			} else {
-				logProd += lg - logCdf[e.RV]
+				if nw >= tinyMass {
+					mant *= nw
+				} else {
+					fr, fe := math.Frexp(nw)
+					mant *= fr
+					exp += fe
+				}
+			case old >= tinyMass:
+				mant *= nw / old
+			default:
+				fn, en := math.Frexp(nw)
+				fo, eo := math.Frexp(old)
+				mant *= fn / fo
+				exp += en - eo
 			}
-			logCdf[e.RV] = lg
+			if mant < scaleLo || mant > scaleHi {
+				fr, fe := math.Frexp(mant)
+				mant = fr
+				exp += fe
+			}
 			i++
 		}
 		var g float64
 		if zeros == 0 {
-			g = math.Exp(logProd)
+			g = math.Ldexp(mant, exp)
 			if g > 1 {
 				g = 1
 			}
